@@ -14,6 +14,7 @@ first), which is how the multi-mode devices (MDM) address higher-order modes.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -114,26 +115,30 @@ def _guided_modes(
 # iteration: the design region does not touch the ports), so modes are cached
 # by cross-section content.  A solve that asked for at least as many modes —
 # or that found every guided mode the line supports — serves smaller requests,
-# mirroring the per-Simulation mode cache.
+# mirroring the per-Simulation mode cache.  A lock guards the LRU bookkeeping
+# (solves run outside it), since engines run on SolveService threads.
 _MODE_CACHE: "OrderedDict[tuple, tuple[int, list[ModeProfile]]]" = OrderedDict()
 _MODE_CACHE_MAX = 512
+_MODE_LOCK = threading.Lock()
 
 
 def _cached_modes(key: tuple, num_modes: int) -> list[ModeProfile] | None:
-    entry = _MODE_CACHE.get(key)
-    if entry is None:
-        return None
-    solved_for, modes = entry
-    if solved_for >= num_modes or len(modes) < solved_for:
-        _MODE_CACHE.move_to_end(key)
-        return modes[:num_modes]
+    with _MODE_LOCK:
+        entry = _MODE_CACHE.get(key)
+        if entry is None:
+            return None
+        solved_for, modes = entry
+        if solved_for >= num_modes or len(modes) < solved_for:
+            _MODE_CACHE.move_to_end(key)
+            return modes[:num_modes]
     return None
 
 
 def _store_modes(key: tuple, num_modes: int, modes: list[ModeProfile]) -> None:
-    while len(_MODE_CACHE) >= _MODE_CACHE_MAX:
-        _MODE_CACHE.popitem(last=False)
-    _MODE_CACHE[key] = (num_modes, modes)
+    with _MODE_LOCK:
+        while len(_MODE_CACHE) >= _MODE_CACHE_MAX:
+            _MODE_CACHE.popitem(last=False)
+        _MODE_CACHE[key] = (num_modes, modes)
 
 
 def solve_slab_modes(

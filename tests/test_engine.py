@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from repro import constants
 from repro.fdfd import Grid, Port, Simulation
@@ -14,6 +15,7 @@ from repro.fdfd.engine import (
     IterativeEngine,
     RefinedEngine,
     SolverEngine,
+    assemble_system_matrix,
     available_engines,
     dtype_cache_tag,
     eps_fingerprint,
@@ -233,6 +235,53 @@ class TestDirectEngine:
             engine.solve_batch(grid, OMEGA, eps, np.zeros((3, 3), dtype=complex))
         with pytest.raises(ValueError):
             engine.solve_batch(grid, OMEGA, eps[:-1], np.zeros((1, *grid.shape)))
+
+
+# --------------------------------------------------------------------------- #
+# factorize_operator: fill-reducing ordering + guarded relaxed pivoting
+# --------------------------------------------------------------------------- #
+class TestFactorizeOperator:
+    @pytest.fixture(scope="class")
+    def bending(self):
+        from repro.devices.factory import make_device
+
+        device = make_device("bending", dl=0.05)
+        omega = constants.wavelength_to_omega(device.wavelengths[0])
+        density = np.random.default_rng(0).uniform(0.0, 1.0, size=device.design_shape)
+        return device.grid, omega, device.eps_with_design(density)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda cache: DirectEngine(cache=cache),
+            lambda cache: RefinedEngine(precision="fp32", cache=cache),
+            lambda cache: make_engine("recycled", cache=cache),
+        ],
+        ids=["direct", "refined-fp32", "recycled"],
+    )
+    def test_every_builder_cuts_fill(self, bending, make, caplog):
+        grid, omega, eps = bending
+        cache = FactorizationCache()
+        source = np.stack(_point_sources(grid, 1))
+        with caplog.at_level("WARNING", logger="repro.fdfd.engine"):
+            make(cache).solve_batch(grid, omega, eps, source)
+        assert not caplog.records, "the probe guard must not fire on a healthy operator"
+        (entry,) = cache._entries.values()
+        default = spla.splu(assemble_system_matrix(grid, omega, eps).tocsc())
+        assert entry.L.nnz + entry.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
+
+    def test_failed_probe_falls_back_to_default_pivoting(self, bending, monkeypatch, caplog):
+        from repro.fdfd import engine
+
+        grid, omega, eps = bending
+        monkeypatch.setattr(engine, "_PROBE_RTOL", dict.fromkeys(engine._PROBE_RTOL, 0.0))
+        sources = np.stack(_point_sources(grid, 2))
+        with caplog.at_level("WARNING", logger="repro.fdfd.engine"):
+            fields = DirectEngine(cache=FactorizationCache()).solve_batch(grid, omega, eps, sources)
+        assert any("failed its probe" in record.getMessage() for record in caplog.records)
+        default = spla.splu(assemble_system_matrix(grid, omega, eps).tocsc())
+        expected = default.solve(sources.reshape(2, -1).T).T.reshape(sources.shape)
+        np.testing.assert_array_equal(fields, expected)
 
 
 class TestIterativeEngine:
@@ -719,6 +768,21 @@ class TestOperatorCacheLRU:
         entry = engine.operators(grid, OMEGA)
         assert entry is engine.operators(grid, OMEGA)
         assert len(engine._OPERATOR_CACHE) == 1
+
+    def test_concurrent_hits_and_evictions_are_safe(self, monkeypatch):
+        """8 threads on a 2-entry cache over 4 grids never raise ``KeyError``."""
+        from repro.fdfd import engine
+        from tests.helpers.threads import hits_during_churn
+
+        monkeypatch.setenv("REPRO_OPERATOR_CACHE_SIZE", "2")
+        grids = [Grid(nx=8 + i, ny=8, dl=0.1, npml=3) for i in range(4)]
+        errors = hits_during_churn(
+            hit=lambda i: engine.operators(grids[i % 2], OMEGA),
+            churn=lambda i, step: engine.operators(grids[2 + (i + step) % 2], OMEGA),
+            churn_steps=200,
+        )
+        assert errors == []
+        assert len(engine._OPERATOR_CACHE) == 2
 
 
 # --------------------------------------------------------------------------- #

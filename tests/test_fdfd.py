@@ -232,6 +232,21 @@ class TestModes:
         with pytest.raises(ValueError):
             solve_slab_modes_batch([self._slab_eps(), np.ones(2)], 0.05, OMEGA)
 
+    def test_mode_cache_concurrent_hits_and_evictions(self, monkeypatch):
+        """8 threads on a 2-entry mode cache over 4 lines never raise ``KeyError``."""
+        from repro.fdfd import modes as modes_module
+        from tests.helpers.threads import hits_during_churn
+
+        monkeypatch.setattr(modes_module, "_MODE_CACHE", type(modes_module._MODE_CACHE)())
+        monkeypatch.setattr(modes_module, "_MODE_CACHE_MAX", 2)
+        lines = [self._slab_eps(width_um=w, dl=0.1, span=1.2) for w in (0.3, 0.4, 0.5, 0.6)]
+        errors = hits_during_churn(
+            hit=lambda i: solve_slab_modes(lines[i % 2], 0.1, OMEGA),
+            churn=lambda i, step: solve_slab_modes(lines[2 + (i + step) % 2], 0.1, OMEGA),
+            churn_steps=5000,
+        )
+        assert errors == []
+
     def test_simulation_batches_port_mode_solves(self):
         """One batched eigendecomposition pass per permittivity, not per call."""
         import repro.fdfd.simulation as simulation_module
