@@ -69,7 +69,7 @@ def _run_optimization(device_spec: dict, engine_name: str, iterations: int, repe
     device = make_device(device_spec["name"], dl=device_spec["dl"], **DEVICE_KWARGS)
     best, trajectory, problem = float("inf"), None, None
     for _ in range(repeats):
-        _simulation._NORMALIZATION_CACHE.clear()
+        _simulation._NORMALIZATIONS.clear()
         problem = InverseDesignProblem(device, engine=_fresh_engine(engine_name))
         optimizer = AdjointOptimizer(problem, learning_rate=LEARNING_RATE)
         theta0 = problem.initial_theta("waveguide")

@@ -92,7 +92,7 @@ def _run_sweep(device, engine_name: str, designs: list[np.ndarray]):
     spec = device.specs[-1]  # the high-power (most nonlinear) target
     best, iterations, inner_solves, last_ez = float("inf"), 0, 0, None
     for _ in range(REPEATS):
-        _simulation._NORMALIZATION_CACHE.clear()
+        _simulation._NORMALIZATIONS.clear()
         engine = _fresh_engine(engine_name)
         iterations = inner_solves = 0
         start = time.perf_counter()

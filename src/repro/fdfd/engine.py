@@ -63,6 +63,7 @@ from repro.constants import EPSILON_0, MU_0
 from repro.fdfd.derivatives import derivative_operators
 from repro.fdfd.grid import Grid
 from repro.utils import backend as array_backend
+from repro.utils.lru import BoundedLru
 
 logger = logging.getLogger(__name__)
 
@@ -119,13 +120,7 @@ def eps_fingerprint(eps_r: np.ndarray) -> str:
 # --------------------------------------------------------------------------- #
 # operator assembly (shared, permittivity-independent parts cached)
 # --------------------------------------------------------------------------- #
-_OPERATOR_CACHE: OrderedDict[tuple[Grid, float], dict] = OrderedDict()
-_OPERATOR_LOCK = threading.Lock()
-
-
-def _operator_cache_maxsize() -> int:
-    """Capacity of the operator cache (``REPRO_OPERATOR_CACHE_SIZE``, min 1)."""
-    return max(1, int(os.environ.get("REPRO_OPERATOR_CACHE_SIZE", "8")))
+_OPERATORS = BoundedLru(maxsize=8)
 
 
 def operators(grid: Grid, omega: float) -> dict:
@@ -133,24 +128,18 @@ def operators(grid: Grid, omega: float) -> dict:
 
     The returned dict contains ``Dxf``/``Dxb``/``Dyf``/``Dyb`` and
     ``curl_curl`` (the permittivity-independent part of the Maxwell operator).
-    Cached process-wide with true LRU behaviour — a hit refreshes the entry,
-    so a hot grid survives however many cold ones pass through.  Capacity is
-    controlled by ``REPRO_OPERATOR_CACHE_SIZE`` (default 8, read on insert).
-    Thread-safe: a lock serializes the LRU bookkeeping and cold builds.
+    Cached process-wide in an 8-entry :class:`~repro.utils.lru.BoundedLru`:
+    a hit refreshes the entry, so a hot grid survives however many cold ones
+    pass through.  Cold builds run outside the cache lock.
     """
     key = (grid, float(omega))
-    with _OPERATOR_LOCK:
-        entry = _OPERATOR_CACHE.get(key)
-        if entry is None:
-            derivs = derivative_operators(grid, float(omega))
-            derivs["curl_curl"] = (
-                derivs["Dxf"] @ derivs["Dxb"] + derivs["Dyf"] @ derivs["Dyb"]
-            ) / MU_0
-            while len(_OPERATOR_CACHE) >= _operator_cache_maxsize():
-                _OPERATOR_CACHE.popitem(last=False)
-            _OPERATOR_CACHE[key] = entry = derivs
-        else:
-            _OPERATOR_CACHE.move_to_end(key)
+    entry = _OPERATORS.get(key)
+    if entry is None:
+        entry = derivative_operators(grid, float(omega))
+        entry["curl_curl"] = (
+            entry["Dxf"] @ entry["Dxb"] + entry["Dyf"] @ entry["Dyb"]
+        ) / MU_0
+        _OPERATORS.put(key, entry)
     return entry
 
 
@@ -166,7 +155,7 @@ def warmup_operators(grid: Grid, omegas: float | list[float]) -> int:
         omegas = [omegas]
     for omega in omegas:
         operators(grid, float(omega))
-    return len(_OPERATOR_CACHE)
+    return len(_OPERATORS)
 
 
 def _system_template(grid: Grid, omega: float) -> dict:

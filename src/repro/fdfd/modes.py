@@ -14,13 +14,12 @@ first), which is how the multi-mode devices (MDM) address higher-order modes.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.constants import C_0
+from repro.utils.lru import BoundedLru
 
 
 @dataclass
@@ -113,32 +112,25 @@ def _guided_modes(
 # Process-wide cache of solved mode lines.  Port cross-sections are tiny and
 # rarely change (an optimization loop re-solves the *same* lines every
 # iteration: the design region does not touch the ports), so modes are cached
-# by cross-section content.  A solve that asked for at least as many modes —
-# or that found every guided mode the line supports — serves smaller requests,
-# mirroring the per-Simulation mode cache.  A lock guards the LRU bookkeeping
-# (solves run outside it), since engines run on SolveService threads.
-_MODE_CACHE: "OrderedDict[tuple, tuple[int, list[ModeProfile]]]" = OrderedDict()
-_MODE_CACHE_MAX = 512
-_MODE_LOCK = threading.Lock()
+# by cross-section content as ``(num_modes solved for, modes found)``.
+_MODES = BoundedLru(maxsize=512)
 
 
 def _cached_modes(key: tuple, num_modes: int) -> list[ModeProfile] | None:
-    with _MODE_LOCK:
-        entry = _MODE_CACHE.get(key)
-        if entry is None:
-            return None
-        solved_for, modes = entry
-        if solved_for >= num_modes or len(modes) < solved_for:
-            _MODE_CACHE.move_to_end(key)
-            return modes[:num_modes]
+    """Cached modes of a line, if the cached solve can serve ``num_modes``.
+
+    It can if it asked for at least as many modes, or found fewer than it
+    asked for (every guided mode of the line is then in the entry).  Mode
+    selection is incremental, so the first ``k`` modes do not depend on how
+    many were requested.
+    """
+    entry = _MODES.get(key)
+    if entry is None:
+        return None
+    solved_for, modes = entry
+    if solved_for >= num_modes or len(modes) < solved_for:
+        return modes[:num_modes]
     return None
-
-
-def _store_modes(key: tuple, num_modes: int, modes: list[ModeProfile]) -> None:
-    with _MODE_LOCK:
-        while len(_MODE_CACHE) >= _MODE_CACHE_MAX:
-            _MODE_CACHE.popitem(last=False)
-        _MODE_CACHE[key] = (num_modes, modes)
 
 
 def solve_slab_modes(
@@ -220,7 +212,7 @@ def solve_slab_modes_batch(
             modes = _guided_modes(
                 eigvals[position], eigvecs[position], lines[index], dl_um, k0, num_modes
             )
-            _store_modes(keys[index], num_modes, modes)
+            _MODES.put(keys[index], (num_modes, modes))
             results[index] = modes
     return results
 

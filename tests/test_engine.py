@@ -472,8 +472,6 @@ class TestSolveMulti:
         sim.eps_r[grid.nx // 2 - 2 : grid.nx // 2 + 2, :] = 1.0
         second = sim.solve("in").ez
         assert np.max(np.abs(first - second)) > 1e-6 * np.max(np.abs(first))
-        # The normalization cache is tied to the permittivity too.
-        assert list(sim._norm_cache) == [("in", 0)]
 
     def test_clear_cache_evicts_every_solved_eps(self):
         grid, eps, _ = _straight_waveguide()
@@ -722,59 +720,52 @@ class TestIncrementalAssembly:
 # operator cache LRU behaviour
 # --------------------------------------------------------------------------- #
 class TestOperatorCacheLRU:
-    def setup_method(self):
+    @pytest.fixture(autouse=True)
+    def small_cache(self, monkeypatch):
+        """A private 2-entry operator cache, so the process-wide one is untouched."""
         from repro.fdfd import engine
+        from repro.utils.lru import BoundedLru
 
-        self._saved = dict(engine._OPERATOR_CACHE)
-        engine._OPERATOR_CACHE.clear()
-
-    def teardown_method(self):
-        from repro.fdfd import engine
-
-        engine._OPERATOR_CACHE.clear()
-        engine._OPERATOR_CACHE.update(self._saved)
+        monkeypatch.setattr(engine, "_OPERATORS", BoundedLru(maxsize=2))
 
     @staticmethod
     def _grids(count):
         return [Grid(nx=12 + i, ny=12, dl=0.1, npml=3) for i in range(count)]
 
-    def test_env_override_controls_size(self, monkeypatch):
+    def test_size_bound(self):
         from repro.fdfd import engine
 
-        monkeypatch.setenv("REPRO_OPERATOR_CACHE_SIZE", "2")
         for grid in self._grids(4):
             engine.operators(grid, OMEGA)
-        assert len(engine._OPERATOR_CACHE) == 2
+        assert len(engine._OPERATORS) == 2
 
-    def test_touch_on_hit_protects_hot_grid(self, monkeypatch):
+    def test_touch_on_hit_protects_hot_grid(self):
         """A re-used grid survives eviction pressure from cold grids."""
         from repro.fdfd import engine
 
-        monkeypatch.setenv("REPRO_OPERATOR_CACHE_SIZE", "2")
         hot, cold_a, cold_b = self._grids(3)
         engine.operators(hot, OMEGA)
         engine.operators(cold_a, OMEGA)
         engine.operators(hot, OMEGA)  # touch: hot becomes most recent
         engine.operators(cold_b, OMEGA)  # evicts cold_a, not hot
-        keys = list(engine._OPERATOR_CACHE)
+        keys = engine._OPERATORS.keys()
         assert (hot, float(OMEGA)) in keys
         assert (cold_a, float(OMEGA)) not in keys
 
-    def test_min_size_is_one(self, monkeypatch):
+    def test_min_size_is_one(self):
         from repro.fdfd import engine
 
-        monkeypatch.setenv("REPRO_OPERATOR_CACHE_SIZE", "0")
+        engine._OPERATORS.maxsize = 0
         grid = self._grids(1)[0]
         entry = engine.operators(grid, OMEGA)
         assert entry is engine.operators(grid, OMEGA)
-        assert len(engine._OPERATOR_CACHE) == 1
+        assert len(engine._OPERATORS) == 1
 
-    def test_concurrent_hits_and_evictions_are_safe(self, monkeypatch):
+    def test_concurrent_hits_and_evictions_are_safe(self):
         """8 threads on a 2-entry cache over 4 grids never raise ``KeyError``."""
         from repro.fdfd import engine
         from tests.helpers.threads import hits_during_churn
 
-        monkeypatch.setenv("REPRO_OPERATOR_CACHE_SIZE", "2")
         grids = [Grid(nx=8 + i, ny=8, dl=0.1, npml=3) for i in range(4)]
         errors = hits_during_churn(
             hit=lambda i: engine.operators(grids[i % 2], OMEGA),
@@ -782,7 +773,7 @@ class TestOperatorCacheLRU:
             churn_steps=200,
         )
         assert errors == []
-        assert len(engine._OPERATOR_CACHE) == 2
+        assert len(engine._OPERATORS) == 2
 
 
 # --------------------------------------------------------------------------- #

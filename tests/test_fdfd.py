@@ -13,6 +13,7 @@ from repro.fdfd.monitors import mode_overlap, poynting_flux_through_port
 from repro.fdfd.engine import DirectEngine, FactorizationCache
 from repro.fdfd.pml import create_sfactor
 from repro.fdfd.solver import FdfdSolver
+from repro.utils.lru import BoundedLru
 
 OMEGA = constants.wavelength_to_omega(1.55)
 
@@ -237,8 +238,7 @@ class TestModes:
         from repro.fdfd import modes as modes_module
         from tests.helpers.threads import hits_during_churn
 
-        monkeypatch.setattr(modes_module, "_MODE_CACHE", type(modes_module._MODE_CACHE)())
-        monkeypatch.setattr(modes_module, "_MODE_CACHE_MAX", 2)
+        monkeypatch.setattr(modes_module, "_MODES", BoundedLru(maxsize=2))
         lines = [self._slab_eps(width_um=w, dl=0.1, span=1.2) for w in (0.3, 0.4, 0.5, 0.6)]
         errors = hits_during_churn(
             hit=lambda i: solve_slab_modes(lines[i % 2], 0.1, OMEGA),
@@ -247,10 +247,10 @@ class TestModes:
         )
         assert errors == []
 
-    def test_simulation_batches_port_mode_solves(self):
+    def test_simulation_batches_port_mode_solves(self, monkeypatch):
         """One batched eigendecomposition pass per permittivity, not per call."""
-        import repro.fdfd.simulation as simulation_module
         from repro.fdfd import Grid, Port, Simulation
+        from repro.fdfd import modes as modes_module
 
         grid = Grid(nx=40, ny=40, dl=0.1, npml=8)
         eps = np.full(grid.shape, constants.EPS_SIO2)
@@ -263,24 +263,26 @@ class TestModes:
         ]
         sim = Simulation(grid, eps, 1.55, ports)
 
+        # A cold mode cache, so earlier tests' lines do not hide the solves.
+        monkeypatch.setattr(modes_module, "_MODES", BoundedLru(maxsize=512))
         calls = []
-        original = simulation_module.solve_slab_modes_batch
+        original = np.linalg.eigh
 
-        def counting(lines, *args, **kwargs):
-            calls.append(len(lines))
-            return original(lines, *args, **kwargs)
+        def counting(stack):
+            calls.append(stack.shape[0])
+            return original(stack)
 
-        simulation_module.solve_slab_modes_batch = counting
-        try:
-            sim.solve("in")
-            assert calls == [2]  # source + monitor lines in one batch
-            sim.solve("in")
-            assert calls == [2]  # cached: no further eigendecompositions
-            sim.eps_r[:, :2] = 1.0  # in-place mutation invalidates the cache
-            sim.solve("in")
-            assert calls == [2, 2]
-        finally:
-            simulation_module.solve_slab_modes_batch = original
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        sim.solve("in")
+        assert calls == [2]  # source + monitor lines in one eigendecomposition
+        sim.solve("in")
+        assert calls == [2]  # cached: no further eigendecompositions
+        sim.eps_r[:, :2] = 1.0  # in-place mutation away from the port lines
+        sim.solve("in")
+        assert calls == [2]  # modes are keyed by line content: still cached
+        sim.eps_r[:, np.abs(y - grid.size_y / 2) <= 0.4] = constants.EPS_SI
+        sim.solve("in")  # a wider core changes both port lines
+        assert calls == [2, 2]
 
 
 # --------------------------------------------------------------------------- #
@@ -407,22 +409,32 @@ class TestSimulation:
         assert sim._eps_fingerprint != old_fingerprint
         assert sim.engine.cache.peek(grid, sim.omega, old_fingerprint) is None
 
+    @staticmethod
+    def _wider_feed(grid):
+        """Straight-waveguide permittivity with a 1.2 um wide core."""
+        wider = np.full(grid.shape, constants.EPS_SIO2)
+        y = grid.y_coords()
+        wider[:, np.abs(y - grid.size_y / 2) <= 0.6] = constants.EPS_SI
+        return wider
+
     def test_set_permittivity_invalidates_normalization_cache(self):
         """Regression: normalization flux/overlap must not survive a design change."""
         grid, eps, ports = _straight_waveguide()
         sim = Simulation(grid, eps, 1.55, ports)
-        sim.solve("in")
-        assert sim._norm_cache
-        stale = dict(sim._norm_cache)
+        stale_flux = sim.solve("in").input_flux
         # Widen the feeding waveguide: the port cross-section (and therefore the
         # normalization run) changes, so the cached values would be wrong.
-        wider = np.full(grid.shape, constants.EPS_SIO2)
-        y = grid.y_coords()
-        wider[:, np.abs(y - grid.size_y / 2) <= 0.6] = constants.EPS_SI
-        sim.set_permittivity(wider)
-        assert not sim._norm_cache
+        sim.set_permittivity(self._wider_feed(grid))
         result = sim.solve("in")
-        stale_flux = stale[("in", 0)][0]
+        assert abs(result.input_flux - stale_flux) / stale_flux > 1e-6
+
+    def test_in_place_port_mutation_renormalizes(self):
+        """Mutating the source-port cross-section of ``eps_r`` in place renormalizes."""
+        grid, eps, ports = _straight_waveguide()
+        sim = Simulation(grid, eps, 1.55, ports)
+        stale_flux = sim.solve("in").input_flux
+        sim.eps_r[...] = self._wider_feed(grid)
+        result = sim.solve("in")
         assert abs(result.input_flux - stale_flux) / stale_flux > 1e-6
 
     def test_mode_source_is_on_port_line_only(self, straight_result):

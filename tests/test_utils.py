@@ -15,6 +15,7 @@ from repro.utils import (
     normalized_l2,
     seed_everything,
 )
+from repro.utils.lru import BoundedLru
 from repro.utils.numerics import resample_bilinear
 
 
@@ -173,3 +174,42 @@ class TestResampleBilinear:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             resample_bilinear(np.zeros((2, 2, 2)), (4, 4))
+
+
+# --------------------------------------------------------------------------- #
+# BoundedLru
+# --------------------------------------------------------------------------- #
+class TestBoundedLru:
+    def test_evicts_least_recently_used(self):
+        cache = BoundedLru(maxsize=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a") == 1  # touch: "b" is now the oldest
+        cache.put("c", 3)
+        assert cache.keys() == ["a", "c"]
+        assert cache.get("b") is None
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_put_existing_key_refreshes_without_duplicate(self):
+        cache = BoundedLru(maxsize=3)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 10)
+        assert cache.keys() == ["b", "a"]
+        assert len(cache) == 2
+        assert cache.get("a") == 10
+
+    def test_maxsize_zero_keeps_one_entry(self):
+        cache = BoundedLru(maxsize=0)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.keys() == ["b"]
+
+    def test_clear_zeroes_counters(self):
+        cache = BoundedLru(maxsize=2)
+        cache.put("a", 1)
+        cache.get("a")
+        cache.get("missing")
+        cache.clear()
+        assert len(cache) == 0
+        assert (cache.hits, cache.misses) == (0, 0)
