@@ -91,7 +91,13 @@ class GeneratorConfig:
     (``"direct"``, ``"iterative"``, ``"recycled"``, or a promoted surrogate
     checkpoint ``"neural:<checkpoint.npz>"``), an engine instance — serial
     runs only — or a ``{fidelity: name}`` mapping with an optional ``"*"``
-    default.  ``workers`` fans shards out across processes (0 = all available
+    default.  ``None`` (the default, also per fidelity in a mapping) means
+    exact condensed solves: each shard labels through a
+    :class:`~repro.fdfd.engine.CondensedEngine` bound to its device, which
+    factors the operator outside the design box once and one box-sized
+    system per design; its fields match ``"direct"`` (the plain
+    full-operator LU) to roundoff, and shard fingerprints record both as
+    ``"direct"``, so artifacts resume across the two.  ``workers`` fans shards out across processes (0 = all available
     cores); ``shard_size`` fixes the shard layout independently of the worker
     count; ``shard_dir`` persists shards as resumable artifacts
     (``resume=False`` forces recomputation).  ``design_id_offset`` shifts the

@@ -14,6 +14,10 @@ Every linear solve in the package flows through the pluggable engine layer in
 * :class:`~repro.fdfd.engine.DirectEngine` — exact SuperLU solves; one
   factorization per ``(grid, omega, permittivity)`` serves arbitrarily many
   stacked right-hand sides (forward, adjoint and normalization solves).
+* :class:`~repro.fdfd.engine.CondensedEngine` — exact solves bound to one
+  device's design box: the operator outside the box is factored once, and
+  each design factors only its condensed box system (the dataset
+  generator's default).
 * :class:`~repro.fdfd.engine.IterativeEngine` — ILU-preconditioned
   BiCGStab/GMRES, the cheap approximate tier.
 * :class:`~repro.fdfd.engine.RecycledEngine` — the optimization-loop tier:
@@ -49,6 +53,7 @@ On top of the engines the package provides:
 
 from repro.fdfd.grid import Grid
 from repro.fdfd.engine import (
+    CondensedEngine,
     DirectEngine,
     FactorizationCache,
     IterativeEngine,
@@ -80,6 +85,7 @@ __all__ = [
     "FdfdSolver",
     "SolverEngine",
     "DirectEngine",
+    "CondensedEngine",
     "IterativeEngine",
     "RecycledEngine",
     "SolveWorkspace",

@@ -5,8 +5,9 @@ transverse profile ``phi(t)`` satisfying::
 
     phi'' + k0^2 eps_r(t) phi = beta^2 phi
 
-The discrete operator is a symmetric tridiagonal matrix, so the dense
-eigendecomposition of a port cross-section (tens of points) is instantaneous.
+The discrete operator is a symmetric tridiagonal matrix, solved with LAPACK's
+tridiagonal eigensolver (:func:`scipy.linalg.eigh_tridiagonal`), so a port
+cross-section (tens of points) takes about a millisecond.
 Guided modes are those with effective index between the cladding and core
 indices; they are returned sorted by decreasing effective index (fundamental
 first), which is how the multi-mode devices (MDM) address higher-order modes.
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from repro.constants import C_0
 from repro.utils.lru import BoundedLru
@@ -61,12 +63,19 @@ def _check_eps_line(eps_line: np.ndarray) -> np.ndarray:
     return eps_line
 
 
-def _slab_operator(eps_line: np.ndarray, dl_m: float, k0: float) -> np.ndarray:
-    """Dense symmetric tridiagonal operator: second difference + k0^2 eps."""
+def _slab_eigensystem(
+    eps_line: np.ndarray, dl_m: float, k0: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the slab operator: second difference + k0^2 eps.
+
+    The operator is symmetric tridiagonal, so only its diagonal and
+    off-diagonal are formed.  The tridiagonal solver also sidesteps a dense
+    ``eigh``, which threaded BLAS builds can stall on for tens of points.
+    """
     n = eps_line.size
     main = -2.0 * np.ones(n) / dl_m**2 + k0**2 * eps_line
     off = np.ones(n - 1) / dl_m**2
-    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    return eigh_tridiagonal(main, off)
 
 
 def _guided_modes(
@@ -170,11 +179,11 @@ def solve_slab_modes_batch(
 ) -> list[list[ModeProfile]]:
     """Solve the guided modes of many port cross-sections in one pass.
 
-    Cross-sections of equal length are stacked into a single batched
-    ``np.linalg.eigh`` call, so a simulation (or a dataset-generation shard)
-    pays one LAPACK dispatch per distinct line length instead of one dense
-    eigendecomposition per port per excitation.  Results per line are
-    identical to :func:`solve_slab_modes` on that line.
+    Lines already in the process-wide mode cache are served from it; each
+    remaining line costs one tridiagonal eigendecomposition, so a simulation
+    (or a dataset-generation shard) pays one per distinct port cross-section
+    instead of one per port per excitation.  Results per line are identical
+    to :func:`solve_slab_modes` on that line.
 
     Parameters
     ----------
@@ -193,27 +202,15 @@ def solve_slab_modes_batch(
     dl_m = dl_um * 1e-6
     k0 = omega / C_0  # rad/m
 
-    results: list[list[ModeProfile] | None] = [None] * len(lines)
-    keys: list[tuple] = []
-    for index, line in enumerate(lines):
+    results: list[list[ModeProfile]] = []
+    for line in lines:
         key = (line.tobytes(), line.size, float(dl_um), float(omega))
-        keys.append(key)
-        results[index] = _cached_modes(key, num_modes)
-
-    by_length: dict[int, list[int]] = {}
-    for index, line in enumerate(lines):
-        if results[index] is None:
-            by_length.setdefault(line.size, []).append(index)
-
-    for indices in by_length.values():
-        stack = np.stack([_slab_operator(lines[i], dl_m, k0) for i in indices], axis=0)
-        eigvals, eigvecs = np.linalg.eigh(stack)
-        for position, index in enumerate(indices):
-            modes = _guided_modes(
-                eigvals[position], eigvecs[position], lines[index], dl_um, k0, num_modes
-            )
-            _MODES.put(keys[index], (num_modes, modes))
-            results[index] = modes
+        modes = _cached_modes(key, num_modes)
+        if modes is None:
+            eigvals, eigvecs = _slab_eigensystem(line, dl_m, k0)
+            modes = _guided_modes(eigvals, eigvecs, line, dl_um, k0, num_modes)
+            _MODES.put(key, (num_modes, modes))
+        results.append(modes)
     return results
 
 

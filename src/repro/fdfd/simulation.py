@@ -37,6 +37,7 @@ from repro.fdfd.modes import ModeProfile, mode_source_amplitude, solve_slab_mode
 from repro.fdfd.monitors import Port, mode_overlap, poynting_flux_through_port
 from repro.fdfd.solver import FdfdSolver, FieldSolution
 from repro.utils.lru import BoundedLru
+from repro.utils.numerics import vector_norm
 
 
 # Process-wide cache of normalization results.  The normalization structure is
@@ -593,5 +594,4 @@ class Simulation:
         """Relative Maxwell residual of a result (sanity check / physics loss label)."""
         residual = self.solver.residual(self.eps_r, result.ez, result.source)
         rhs = 1j * self.omega * result.source
-        denom = np.linalg.norm(rhs.ravel())
-        return float(np.linalg.norm(residual.ravel()) / (denom + 1e-30))
+        return vector_norm(residual) / (vector_norm(rhs) + 1e-30)

@@ -29,7 +29,9 @@ from repro.data.generator import (
 from repro.data.labels import field_target
 from repro.data.shards import (
     engine_for_fidelity,
+    load_shard,
     plan_shards,
+    save_shard,
     shard_fingerprint,
 )
 from repro.fdfd.engine import DirectEngine
@@ -387,6 +389,53 @@ class TestShardedGeneration:
             GeneratorConfig(**self.CONFIG_KWARGS, backend="numpy")
         ).generate()
         self._assert_bit_identical(baseline, explicit)
+
+
+class TestShardArtifacts:
+    """``save_shard`` stores field members verbatim and deflates the rest."""
+
+    @pytest.fixture(scope="class")
+    def labels(self, tiny_bend):
+        from repro.data.labels import extract_labels_batch
+
+        density = np.random.default_rng(0).uniform(0.0, 1.0, tiny_bend.design_shape)
+        return extract_labels_batch(tiny_bend, density, with_gradient=True)
+
+    @staticmethod
+    def _assert_same(loaded, labels):
+        for got, want in zip(loaded, labels):
+            for name in ("density", "eps_r", "source", "ez", "hx", "hy", "adjoint_gradient"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert got.transmissions == want.transmissions
+            assert got.s_params == want.s_params
+            assert got.maxwell_residual == want.maxwell_residual
+
+    def test_round_trip_is_bit_identical(self, labels, tmp_path):
+        path = save_shard(tmp_path / "shard_a.npz", labels, [7] * len(labels), fingerprint="f")
+        loaded, design_ids = load_shard(path, expected_fingerprint="f")
+        assert design_ids == [7] * len(labels)
+        self._assert_same(loaded, labels)
+
+    def test_field_members_are_stored_not_deflated(self, labels, tmp_path):
+        import zipfile
+
+        path = save_shard(tmp_path / "shard_a.npz", labels, [0] * len(labels))
+        with zipfile.ZipFile(path) as archive:
+            methods = {info.filename: info.compress_type for info in archive.infolist()}
+        for name, method in methods.items():
+            field = name.startswith(("ez_", "hx_", "hy_", "adjgrad_"))
+            assert method == (zipfile.ZIP_STORED if field else zipfile.ZIP_DEFLATED), name
+        assert "adjgrad_0.npy" in methods and "density_0.npy" in methods
+
+    def test_savez_compressed_shard_still_loads(self, labels, tmp_path):
+        path = save_shard(tmp_path / "shard_a.npz", labels, [0] * len(labels), fingerprint="f")
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        legacy = tmp_path / "shard_b.npz"
+        np.savez_compressed(legacy, **arrays)
+        loaded, _ = load_shard(legacy, expected_fingerprint="f")
+        self._assert_same(loaded, labels)
 
 
 class TestGeneratorCLI:

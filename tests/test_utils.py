@@ -16,7 +16,7 @@ from repro.utils import (
     seed_everything,
 )
 from repro.utils.lru import BoundedLru
-from repro.utils.numerics import resample_bilinear
+from repro.utils.numerics import resample_bilinear, vector_norm
 
 
 # --------------------------------------------------------------------------- #
@@ -114,6 +114,20 @@ class TestNormalizedL2:
         assert normalized_l2(pred * scale, target * scale) == pytest.approx(
             normalized_l2(pred, target), rel=1e-6
         )
+
+
+class TestVectorNorm:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.complex64])
+    def test_matches_linalg_norm(self, dtype):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((7, 9))
+        if np.dtype(dtype).kind == "c":
+            x = x + 1j * rng.standard_normal((7, 9))
+        x = x.astype(dtype)
+        expected = float(np.linalg.norm(x.ravel()))
+        rel = 1e-6 if dtype == np.complex64 else 1e-14
+        assert vector_norm(x) == pytest.approx(expected, rel=rel)
+        assert vector_norm(np.zeros(3, dtype=dtype)) == 0.0
 
 
 class TestCosineSimilarity:
