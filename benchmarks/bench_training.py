@@ -19,6 +19,11 @@ Writes ``BENCH_training.json``.  ``--quick`` shrinks the matrix to a CI smoke
 gate that *asserts* the pipeline's contracts: loader training bit-identical
 to in-memory training, loss decreasing, finite metrics, and a servable
 promoted engine.
+
+Both modes also time ``spectral_conv2d`` forward plus backward at the
+benchmark scale (B=6, C=16, 56x56, 6x6 modes) against the full-FFT oracle in
+``tests/helpers/spectral_ref``: the speed-up of the truncated-DFT kernel is
+recorded and must be at least 1.0; the absolute times are printed, not gated.
 """
 
 from __future__ import annotations
@@ -32,9 +37,12 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent))
 
 from common import BENCH, DEVICE_KWARGS, print_table, write_bench_record
 
+from repro.autograd import Tensor
+from repro.autograd import functional as F
 from repro.data.dataset import split_dataset
 from repro.data.generator import DatasetGenerator, GeneratorConfig
 from repro.data.loader import ShardDataLoader
@@ -42,6 +50,7 @@ from repro.devices.factory import make_device
 from repro.surrogate import CheckpointMeta, dataset_fingerprint, save_checkpoint
 from repro.train import Trainer, make_curriculum, make_model
 from repro.train.evaluation import evaluation_protocol
+from tests.helpers.spectral_ref import spectral_conv2d_ref
 
 CURRICULA = ("none", "warmup", "mixed", "finetune")
 MODELS = ("fno", "ffno", "unet", "neurolight")
@@ -106,6 +115,55 @@ def assert_loader_bit_identity(config, shard_dir, merged, epochs: int) -> None:
     assert in_memory.epochs == streamed.epochs, (
         "loader-based training diverged from in-memory training"
     )
+
+
+def spectral_kernel_speedup(rounds: int = 7, calls: int = 5) -> dict:
+    """Time ``spectral_conv2d`` forward + backward against the full-FFT oracle.
+
+    Rounds alternate between the two kernels so a host that changes speed
+    affects both alike; the ratio of the per-call medians is gated (>= 1.0),
+    the absolute times are only reported.
+    """
+    batch, channels, size, modes = 6, 16, 56, (6, 6)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(batch, channels, size, size)), requires_grad=True)
+    shape = (channels, channels, 2 * modes[0], 2 * modes[1])
+    w_real = Tensor(0.1 * rng.normal(size=shape), requires_grad=True)
+    w_imag = Tensor(0.1 * rng.normal(size=shape), requires_grad=True)
+    grad_out = rng.normal(size=x.shape)
+
+    def truncated_dft():
+        for tensor in (x, w_real, w_imag):
+            tensor.zero_grad()
+        F.spectral_conv2d(x, w_real, w_imag, modes).backward(grad_out)
+
+    def full_fft():
+        spectral_conv2d_ref(x.data, w_real.data, w_imag.data, modes, grad_out=grad_out)
+
+    timings = {truncated_dft: [], full_fft: []}
+    for kernel in timings:
+        kernel()  # warm-up
+    for _ in range(rounds):
+        for kernel, samples in timings.items():
+            start = time.perf_counter()
+            for _ in range(calls):
+                kernel()
+            samples.append((time.perf_counter() - start) / calls)
+    dft_ms = 1e3 * float(np.median(timings[truncated_dft]))
+    fft_ms = 1e3 * float(np.median(timings[full_fft]))
+    ratio = fft_ms / dft_ms
+    print(
+        f"spectral_conv2d fwd+bwd at B={batch}, C={channels}, {size}x{size}, modes {modes}: "
+        f"truncated DFT {dft_ms:.2f} ms, full FFT {fft_ms:.2f} ms ({ratio:.2f}x)"
+    )
+    assert ratio >= 1.0, f"truncated-DFT spectral_conv2d is slower than the FFT oracle ({ratio:.2f}x)"
+    return {
+        "shape": [batch, channels, size, size],
+        "modes": list(modes),
+        "truncated_dft_ms": round(dft_ms, 3),
+        "full_fft_ms": round(fft_ms, 3),
+        "speedup": round(ratio, 3),
+    }
 
 
 def run(quick: bool) -> dict:
@@ -257,6 +315,7 @@ def run(quick: bool) -> dict:
 
     return {
         "quick": quick,
+        "spectral_conv2d": spectral_kernel_speedup(),
         "generation_seconds": round(generation_seconds, 3),
         "num_samples": len(merged),
         "fidelities": list(config.fidelities),

@@ -2,9 +2,11 @@
 Fourier-domain operators used by the neural-operator surrogates.
 
 Each function takes and returns :class:`repro.autograd.Tensor` and registers a
-hand-written backward rule.  The Fourier operators use full complex FFTs on
-real inputs; the backward rules follow from Wirtinger calculus for linear maps
-(see the derivation in the docstring of :func:`spectral_conv2d`).
+hand-written backward rule.  The Fourier operators keep only a few corner
+modes, so they evaluate those modes with truncated DFT matrices in small
+matmuls rather than full FFTs; the backward rules follow from Wirtinger
+calculus for linear maps (see the derivation in the docstring of
+:func:`spectral_conv2d`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.utils import backend as array_backend
 
 
 # --------------------------------------------------------------------------- #
@@ -198,6 +199,36 @@ def _corner_indices(size: int, modes: int) -> np.ndarray:
     return np.concatenate([np.arange(modes), np.arange(size - modes, size)])
 
 
+def _dft_rows(size: int, modes: int) -> np.ndarray:
+    """The ``(2*modes, size)`` rows of the DFT matrix at the corner frequencies.
+
+    ``F[k, n] = exp(-2πi·idx[k]·n / size)``; the phase index is reduced modulo
+    ``size`` first so every twiddle is exact to one rounding.
+    """
+    phase = np.outer(_corner_indices(size, modes), np.arange(size)) % size
+    return np.exp((-2j * np.pi / size) * phase)
+
+
+def _interleaved(dft: np.ndarray) -> np.ndarray:
+    """Real ``(4*modes, size)`` matrix whose rows alternate ``Re F`` and ``Im F``.
+
+    ``a @ R.T`` is the interleaved storage of the complex ``a @ F.T``, and for
+    complex ``q`` stored that way ``q @ R = Re(q @ conj(F))``: each transform
+    along the last axis is one real matmul and a ``view``, with no copies.
+    """
+    return np.stack([dft.real, dft.imag], axis=1).reshape(-1, dft.shape[1])
+
+
+def _to_modes(a: np.ndarray, f_w: np.ndarray) -> np.ndarray:
+    """Corner modes ``a @ F_W.T`` of a real array along its last axis."""
+    return (a @ f_w.T).view(np.complex128)
+
+
+def _from_modes(p: np.ndarray, f_w: np.ndarray) -> np.ndarray:
+    """``Re(p @ conj(F_W))``: the real synthesis of corner modes ``p``."""
+    return p.view(np.float64) @ f_w
+
+
 def spectral_conv2d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: tuple[int, int]) -> Tensor:
     """FNO-style spectral convolution over the last two dimensions.
 
@@ -210,6 +241,18 @@ def spectral_conv2d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: tuple[int,
     ``x``: ``(B, C_in, H, W)``; ``w_real``/``w_imag``: ``(C_in, C_out, 2*m1, 2*m2)``;
     output: ``(B, C_out, H, W)``.
 
+    Truncated DFT
+    -------------
+    Only ``2*m1 × 2*m2`` modes survive, so the transforms are evaluated with
+    the retained rows of the DFT matrices, ``F_H (2*m1 × H)`` and
+    ``F_W (2*m2 × W)``, instead of full FFTs::
+
+        X = F_H @ x @ F_W.T                       # corner modes of x
+        y = Re(conj(F_H).T @ (W ⊙ X) @ conj(F_W)) / (H*W)
+
+    The real-by-complex product along ``W`` is one real matmul against the
+    interleaved ``[Re F_W; Im F_W]``, and so is the real part of the synthesis.
+
     Backward
     --------
     With the unnormalized FFT pair (``numpy`` default), for real input ``x``
@@ -219,40 +262,42 @@ def spectral_conv2d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: tuple[int,
         dL/dW = conj(X) ⊙ G_P   (summed over batch)
         G_X  = conj(W) ⊙ G_P
         dL/dx = H*W * Re(IFFT2(G_X))
+
+    On the corner modes ``G_P = F_H @ dL/dy @ F_W.T / (H*W)`` and
+    ``dL/dx = Re(conj(F_H).T @ G_X @ conj(F_W))``: the same two maps again.
     """
     if x.ndim != 4:
         raise ValueError(f"spectral_conv2d expects (B, C, H, W), got {x.shape}")
     m1, m2 = modes
-    batch, c_in, height, width = x.shape
-    c_in_w, c_out = w_real.shape[0], w_real.shape[1]
-    if c_in != c_in_w:
-        raise ValueError(f"channel mismatch: input {c_in}, weight {c_in_w}")
+    height, width = x.shape[-2:]
+    c_in, c_out = x.shape[1], w_real.shape[1]
+    if c_in != w_real.shape[0]:
+        raise ValueError(f"channel mismatch: input {c_in}, weight {w_real.shape[0]}")
     if w_real.shape != (c_in, c_out, 2 * m1, 2 * m2):
         raise ValueError(
             f"weight shape {w_real.shape} does not match (C_in, C_out, 2*m1, 2*m2)="
             f"{(c_in, c_out, 2 * m1, 2 * m2)}"
         )
-    rows = _corner_indices(height, m1)
-    cols = _corner_indices(width, m2)
+    f_h = _dft_rows(height, m1)
+    f_h_adj = f_h.conj().T
+    f_w = _interleaved(_dft_rows(width, m2))
 
-    x_ft = array_backend.fft2(x.data)
-    x_modes = x_ft[:, :, rows[:, None], cols[None, :]]  # (B, C_in, 2m1, 2m2)
-    weight = w_real.data + 1j * w_imag.data
-    prod = np.einsum("bimn,iomn->bomn", x_modes, weight)
-    full = np.zeros((batch, c_out, height, width), dtype=complex)
-    full[:, :, rows[:, None], cols[None, :]] = prod
-    out = np.real(array_backend.ifft2(full)).astype(x.data.dtype)
+    # The channel mix is one (B, C_in) @ (C_in, C_out) product per retained
+    # mode, so it runs on views with the two mode axes first.
+    def swap(a):
+        """``(B, C, M, N)`` <-> ``(M, N, B, C)`` as a view (an involution)."""
+        return a.transpose(2, 3, 0, 1)
+
+    x_modes = swap(f_h @ _to_modes(x.data, f_w))  # (2m1, 2m2, B, C_in)
+    weight = swap(w_real.data + 1j * w_imag.data)  # (2m1, 2m2, C_in, C_out)
+    prod = swap(x_modes @ weight) / (height * width)
+    out = _from_modes(f_h_adj @ prod, f_w).astype(x.dtype, copy=False)
 
     def backward(grad, accumulate):
-        grad = np.asarray(grad)
-        g_p = array_backend.fft2(grad) / (height * width)
-        g_p_modes = g_p[:, :, rows[:, None], cols[None, :]]
-        grad_weight = np.einsum("bimn,bomn->iomn", np.conj(x_modes), g_p_modes)
-        g_x_modes = np.einsum("bomn,iomn->bimn", g_p_modes, np.conj(weight))
-        g_x_full = np.zeros((batch, c_in, height, width), dtype=complex)
-        g_x_full[:, :, rows[:, None], cols[None, :]] = g_x_modes
-        grad_x = (height * width) * np.real(array_backend.ifft2(g_x_full))
-        accumulate(x, grad_x.astype(x.data.dtype))
+        g_p = swap(f_h @ _to_modes(np.asarray(grad), f_w)) / (height * width)
+        grad_weight = swap(np.conj(x_modes).swapaxes(-1, -2) @ g_p)
+        g_x = swap(g_p @ np.conj(weight).swapaxes(-1, -2))
+        accumulate(x, _from_modes(f_h_adj @ g_x, f_w).astype(x.dtype, copy=False))
         accumulate(w_real, np.real(grad_weight))
         accumulate(w_imag, np.imag(grad_weight))
 
@@ -262,59 +307,42 @@ def spectral_conv2d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: tuple[int,
 def spectral_conv1d(x: Tensor, w_real: Tensor, w_imag: Tensor, modes: int, axis: int) -> Tensor:
     """Factorized spectral convolution along a single spatial axis.
 
-    Used by the Factorized-FNO and NeurOLight blocks: a 1-D FFT is taken along
-    ``axis`` (-1 or -2 of a ``(B, C, H, W)`` tensor), channel mixing is applied
-    to the lowest ``modes`` positive/negative frequencies and the inverse FFT
-    brings the signal back.  Weights have shape ``(C_in, C_out, 2*modes)``.
+    Used by the Factorized-FNO and NeurOLight blocks: the lowest ``modes``
+    positive/negative frequencies along ``axis`` (-1 or -2 of a
+    ``(B, C, H, W)`` tensor) are taken with a truncated DFT matrix, mixed
+    across channels and synthesized back, as in :func:`spectral_conv2d`.
+    Weights have shape ``(C_in, C_out, 2*modes)``.
     """
     if x.ndim != 4:
         raise ValueError(f"spectral_conv1d expects (B, C, H, W), got {x.shape}")
     if axis not in (-1, -2, 2, 3):
         raise ValueError(f"axis must address a spatial dimension, got {axis}")
     axis = axis if axis < 0 else axis - 4
-    batch, c_in, height, width = x.shape
     size = x.shape[axis]
-    c_in_w, c_out = w_real.shape[0], w_real.shape[1]
-    if c_in != c_in_w:
-        raise ValueError(f"channel mismatch: input {c_in}, weight {c_in_w}")
+    c_in, c_out = x.shape[1], w_real.shape[1]
+    if c_in != w_real.shape[0]:
+        raise ValueError(f"channel mismatch: input {c_in}, weight {w_real.shape[0]}")
     if w_real.shape != (c_in, c_out, 2 * modes):
         raise ValueError(
             f"weight shape {w_real.shape} does not match (C_in, C_out, 2*modes)="
             f"{(c_in, c_out, 2 * modes)}"
         )
-    idx = _corner_indices(size, modes)
+    f = _interleaved(_dft_rows(size, modes))
 
-    x_ft = array_backend.fft(x.data, axis=axis)
-    x_modes = np.take(x_ft, idx, axis=axis)  # modes along `axis`
+    def last(a):
+        """View with the transformed axis last (and back: a swap is an involution)."""
+        return a if axis == -1 else a.swapaxes(-1, -2)
+
+    x_modes = _to_modes(last(x.data), f)  # (B, C_in, other, 2m)
     weight = w_real.data + 1j * w_imag.data
-
-    if axis == -2:
-        prod = np.einsum("bimw,iom->bomw", x_modes, weight)
-        out_shape = (batch, c_out, height, width)
-    else:
-        prod = np.einsum("bihm,iom->bohm", x_modes, weight)
-        out_shape = (batch, c_out, height, width)
-
-    full = np.zeros(out_shape, dtype=complex)
-    indexer = [slice(None)] * 4
-    indexer[axis] = idx
-    full[tuple(indexer)] = prod
-    out = np.real(array_backend.ifft(full, axis=axis)).astype(x.data.dtype)
+    prod = np.einsum("bism,iom->bosm", x_modes, weight) / size
+    out = np.ascontiguousarray(last(_from_modes(prod, f)), dtype=x.dtype)
 
     def backward(grad, accumulate):
-        grad = np.asarray(grad)
-        g_p = array_backend.fft(grad, axis=axis) / size
-        g_p_modes = np.take(g_p, idx, axis=axis)
-        if axis == -2:
-            grad_weight = np.einsum("bimw,bomw->iom", np.conj(x_modes), g_p_modes)
-            g_x_modes = np.einsum("bomw,iom->bimw", g_p_modes, np.conj(weight))
-        else:
-            grad_weight = np.einsum("bihm,bohm->iom", np.conj(x_modes), g_p_modes)
-            g_x_modes = np.einsum("bohm,iom->bihm", g_p_modes, np.conj(weight))
-        g_x_full = np.zeros((batch, c_in, height, width), dtype=complex)
-        g_x_full[tuple(indexer)] = g_x_modes
-        grad_x = size * np.real(array_backend.ifft(g_x_full, axis=axis))
-        accumulate(x, grad_x.astype(x.data.dtype))
+        g_p = _to_modes(last(np.asarray(grad)), f) / size
+        grad_weight = np.einsum("bism,bosm->iom", np.conj(x_modes), g_p)
+        g_x = np.einsum("bosm,iom->bism", g_p, np.conj(weight))
+        accumulate(x, np.ascontiguousarray(last(_from_modes(g_x, f)), dtype=x.dtype))
         accumulate(w_real, np.real(grad_weight))
         accumulate(w_imag, np.imag(grad_weight))
 

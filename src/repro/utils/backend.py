@@ -2,9 +2,9 @@
 
 Everything numerical in this repository is written against the NumPy API.
 This module is the single place that decides *which* array namespace actually
-executes that API — the seam the engine layer (dense residual/axpy work in
-:class:`~repro.fdfd.engine.RefinedEngine` and friends) and the ``nn`` stack
-(tensor storage, FFTs) sit on top of:
+executes that API — the seam the dense residual/axpy work of
+:func:`~repro.fdfd.engine.mixed_precision_refine` (the
+:class:`~repro.fdfd.engine.RefinedEngine` tier) sits on top of:
 
 * ``numpy`` — always available, always the default.  Nothing in the test
   suite or the benchmarks requires anything else.
@@ -55,7 +55,7 @@ class ArrayBackend:
     """One array namespace plus the conversions in and out of NumPy.
 
     ``xp`` is the NumPy-compatible module to write kernels against
-    (``backend.xp.fft.fft2(...)``); ``asarray``/``to_numpy`` move data across
+    (``backend.xp.add(...)``); ``asarray``/``to_numpy`` move data across
     the host boundary (both are identity for the NumPy backend, so CPU-only
     code pays nothing for being written against the seam).
     """
@@ -195,45 +195,6 @@ def set_default_backend(name: str | None) -> None:
 def default_namespace():
     """The default backend's array namespace (``numpy`` unless configured).
 
-    The one-liner the ``nn``/autograd stack uses for array creation: CPU-only
-    installs get literally ``numpy`` back.
+    CPU-only installs get literally ``numpy`` back.
     """
     return get_backend().xp
-
-
-# --------------------------------------------------------------------------- #
-# host-in / host-out FFT seam (the nn stack's hot transforms)
-# --------------------------------------------------------------------------- #
-def _fft_call(op: str, array, *args):
-    """Run one FFT op through the default backend, host array in and out.
-
-    Positional arguments only: ``numpy.fft`` and ``torch.fft`` agree on
-    positional signatures (``fft2(a, s, axes)`` vs ``fft2(a, s, dim)``) but
-    not on keyword names.  The NumPy backend short-circuits to ``np.fft``
-    directly — zero conversion, zero overhead.
-    """
-    backend = get_backend()
-    if not backend.is_gpu and backend.xp is np:
-        return getattr(np.fft, op)(array, *args)
-    result = getattr(backend.xp.fft, op)(backend.asarray(array), *args)
-    return backend.to_numpy(result)
-
-
-def fft2(array, axes=(-2, -1)) -> np.ndarray:
-    """2-D FFT over ``axes`` through the configured backend."""
-    return _fft_call("fft2", array, None, tuple(axes))
-
-
-def ifft2(array, axes=(-2, -1)) -> np.ndarray:
-    """2-D inverse FFT over ``axes`` through the configured backend."""
-    return _fft_call("ifft2", array, None, tuple(axes))
-
-
-def fft(array, axis=-1) -> np.ndarray:
-    """1-D FFT along ``axis`` through the configured backend."""
-    return _fft_call("fft", array, None, int(axis))
-
-
-def ifft(array, axis=-1) -> np.ndarray:
-    """1-D inverse FFT along ``axis`` through the configured backend."""
-    return _fft_call("ifft", array, None, int(axis))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, check_gradient, functional as F
+from tests.helpers.spectral_ref import spectral_conv1d_ref, spectral_conv2d_ref
 
 
 def tensor_of(shape, seed=0, scale=1.0):
@@ -144,6 +145,119 @@ class TestSpectralConv:
         wr = Tensor(np.zeros((2, 2, 4, 2)))
         with pytest.raises(ValueError):
             F.spectral_conv2d(x, wr, wr, (2, 2))
+
+
+def relative_error(actual, expected):
+    return np.abs(actual - expected).max() / np.abs(expected).max()
+
+
+def spectral_case(x_shape, w_shape, seed, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True, dtype=dtype)
+    w_real = Tensor(0.1 * rng.normal(size=w_shape), requires_grad=True)
+    w_imag = Tensor(0.1 * rng.normal(size=w_shape), requires_grad=True)
+    return rng, x, w_real, w_imag
+
+
+def assert_matches_reference(op, reference, x, w_real, w_imag, rng, rtol=1e-12):
+    """Forward value and all three cotangents against the full-FFT oracle."""
+    out = op(x, w_real, w_imag)
+    grad_out = rng.normal(size=out.shape)
+    out.backward(grad_out)
+    ref_out, ref_grads = reference(x.data, w_real.data, w_imag.data, grad_out)
+    assert relative_error(out.data, ref_out) <= rtol
+    for actual, expected in zip((x.grad, w_real.grad, w_imag.grad), ref_grads):
+        assert relative_error(actual, expected) <= rtol
+
+
+class TestSpectralConvReference:
+    """The truncated-DFT kernels against the ``np.fft`` formulation they replaced."""
+
+    @pytest.mark.parametrize(
+        "size, modes",
+        [
+            ((16, 16), (3, 3)),  # even
+            ((15, 15), (4, 4)),  # odd
+            ((12, 21), (5, 7)),  # non-square
+            ((16, 10), (8, 5)),  # 2m = N on both axes
+            ((56, 56), (6, 6)),  # the benchmark scale
+        ],
+    )
+    def test_spectral2d_matches_fft(self, size, modes):
+        rng, x, wr, wi = spectral_case((2, 3) + size, (3, 4, 2 * modes[0], 2 * modes[1]), 0)
+        assert_matches_reference(
+            lambda x, wr, wi: F.spectral_conv2d(x, wr, wi, modes),
+            lambda x, wr, wi, g: spectral_conv2d_ref(x, wr, wi, modes, grad_out=g),
+            x, wr, wi, rng,
+        )
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    @pytest.mark.parametrize(
+        "size, modes",
+        [((16, 16), 3), ((15, 15), 4), ((12, 21), 5), ((10, 10), 5)],
+    )
+    def test_spectral1d_matches_fft(self, size, modes, axis):
+        rng, x, wr, wi = spectral_case((2, 3) + size, (3, 4, 2 * modes), 1)
+        assert_matches_reference(
+            lambda x, wr, wi: F.spectral_conv1d(x, wr, wi, modes, axis=axis),
+            lambda x, wr, wi, g: spectral_conv1d_ref(x, wr, wi, modes, axis, grad_out=g),
+            x, wr, wi, rng,
+        )
+
+    def test_float32_input_keeps_its_precision(self):
+        """A float32 input yields float32-rounded values and a float32 gradient.
+
+        Tensor wraps every op output in float64, so the op's dtype contract is
+        visible as values that round-trip through float32 exactly.  The
+        oracle runs on the same input in float64: its own float32 FFT path
+        rounds in complex64, so the comparison is at float32 precision.
+        """
+        rng, x, wr, wi = spectral_case((2, 3, 14, 9), (3, 4, 6, 4), 2, dtype=np.float32)
+        out = F.spectral_conv2d(x, wr, wi, (3, 2))
+        grad_out = rng.normal(size=out.shape)
+        out.backward(grad_out)
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(out.data, out.data.astype(np.float32))
+        ref_out, ref_grads = spectral_conv2d_ref(
+            x.data.astype(np.float64), wr.data, wi.data, (3, 2), grad_out=grad_out
+        )
+        assert relative_error(out.data, ref_out) <= 1e-6
+        for actual, expected in zip((x.grad, wr.grad, wi.grad), ref_grads):
+            assert relative_error(actual, expected) <= 1e-6
+
+
+class TestGelu:
+    """``gelu`` against the tanh formula evaluated with ``np.power``."""
+
+    @staticmethod
+    def reference(x):
+        c = np.sqrt(2.0 / np.pi)
+        t = np.tanh(c * (x + 0.044715 * np.power(x, 3)))
+        value = 0.5 * x * (1.0 + t)
+        grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - np.power(t, 2)) * c * (
+            1.0 + 3 * 0.044715 * np.power(x, 2)
+        )
+        return value, grad
+
+    def test_value_and_gradient_match_formula(self):
+        """Relative to ``max(|ref|, 1)``: for x << 0 both sides cancel in ``1 + tanh``.
+
+        There ``gelu`` is ~1e-7 or less and one ulp of ``tanh`` near -1 moves
+        it by ~1e-12 relative in either formulation, so the far tail is pinned
+        to 1e-14 absolute instead.
+        """
+        x = np.concatenate([np.linspace(-30.0, 30.0, 6001), [0.0, -1e-8, 1e-8]])
+        tensor = Tensor(x, requires_grad=True)
+        out = tensor.gelu()
+        out.backward(np.ones_like(x))
+        ref_value, ref_grad = self.reference(x)
+        for actual, expected in ((out.data, ref_value), (tensor.grad, ref_grad)):
+            scale = np.maximum(np.abs(expected), 1.0)
+            assert (np.abs(actual - expected) / scale).max() <= 1e-14
+
+    def test_fixed_points(self):
+        out = Tensor(np.array([0.0, -30.0, 30.0])).gelu()
+        np.testing.assert_array_equal(out.data, [0.0, 0.0, 30.0])
 
 
 class TestDropoutSoftplus:

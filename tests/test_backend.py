@@ -73,32 +73,3 @@ class TestNumpyBackend:
         assert out.dtype == np.complex128
         np.testing.assert_array_equal(out, data)
 
-
-class TestFftSeam:
-    def test_fft2_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        data = rng.standard_normal((3, 4, 8, 8))
-        np.testing.assert_array_equal(
-            array_backend.fft2(data), np.fft.fft2(data, axes=(-2, -1))
-        )
-        np.testing.assert_array_equal(
-            array_backend.ifft2(data), np.fft.ifft2(data, axes=(-2, -1))
-        )
-
-    def test_fft_axis_matches_numpy(self):
-        rng = np.random.default_rng(1)
-        data = rng.standard_normal((2, 3, 8, 8))
-        for axis in (-1, -2):
-            np.testing.assert_array_equal(
-                array_backend.fft(data, axis=axis), np.fft.fft(data, axis=axis)
-            )
-            np.testing.assert_array_equal(
-                array_backend.ifft(data, axis=axis), np.fft.ifft(data, axis=axis)
-            )
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(2)
-        data = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        np.testing.assert_allclose(
-            array_backend.ifft2(array_backend.fft2(data)), data, atol=1e-12
-        )
